@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/rng.h"
@@ -38,15 +39,24 @@ std::vector<uint64_t> SampleDistinctIndices(uint64_t universe, size_t count,
   Xoshiro256StarStar rng(MixCombine(seed, 0x5A4D9E1EB00Cull));
   std::vector<uint64_t> out;
   out.reserve(count);
-  // Partial Fisher–Yates when the universe is small enough to materialize;
-  // hash-set rejection otherwise (efficient whenever count ≪ universe).
+  // Partial Fisher–Yates for small universes or dense draws; hash-set
+  // rejection otherwise (efficient whenever count ≪ universe). The shuffle
+  // is sparse: position p of the virtual pool [0, universe) holds p unless
+  // `moved` records a swap into it, so each call costs O(count), not
+  // O(universe). Step i only ever reads positions ≥ i, so position i's
+  // update is never needed.
   if (universe <= (uint64_t{1} << 22) || count * 4 >= universe) {
-    std::vector<uint64_t> pool(universe);
-    std::iota(pool.begin(), pool.end(), uint64_t{0});
+    std::unordered_map<uint64_t, uint64_t> moved;
+    moved.reserve(count);
+    auto at = [&moved](uint64_t p) {
+      auto it = moved.find(p);
+      return it == moved.end() ? p : it->second;
+    };
     for (size_t i = 0; i < count; ++i) {
       const uint64_t j = i + rng.NextBounded(universe - i);
-      std::swap(pool[i], pool[j]);
-      out.push_back(pool[i]);
+      const uint64_t picked = at(j);
+      moved[j] = at(i);
+      out.push_back(picked);
     }
   } else {
     std::unordered_set<uint64_t> seen;

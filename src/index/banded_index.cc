@@ -241,45 +241,4 @@ Status BandedIndex::ProbeShard(const AnySketch& query,
   return Status::Ok();
 }
 
-Status BandedIndex::ScanShard(const AnySketch& query, size_t shard_index,
-                              TopKHeap* heap, size_t* scanned) const {
-  IPS_CHECK(shard_index < shards_.size());
-  const Shard& shard = *shards_[shard_index];
-  MutexLock lock(&shard.mu);
-  const size_t resident = catalog_.size(shard_index);
-  if (resident == 0) return Status::Ok();
-  std::vector<double> estimates(resident);
-  IPS_RETURN_IF_ERROR(
-      catalog_.EstimateAll(shard_index, query, estimates.data()));
-  for (size_t slot = 0; slot < resident; ++slot) {
-    heap->Offer(static_cast<size_t>(catalog_.IdAt(shard_index, slot)),
-                estimates[slot]);
-  }
-  *scanned += resident;
-  return Status::Ok();
-}
-
-Status BandedIndex::ScanShardBatch(
-    const std::vector<const AnySketch*>& queries, size_t shard_index,
-    const std::vector<TopKHeap*>& heaps, size_t* scanned) const {
-  IPS_CHECK(shard_index < shards_.size());
-  IPS_CHECK(queries.size() == heaps.size());
-  const Shard& shard = *shards_[shard_index];
-  MutexLock lock(&shard.mu);
-  const size_t resident = catalog_.size(shard_index);
-  if (resident == 0 || queries.empty()) return Status::Ok();
-  std::vector<double> estimates(resident);
-  for (size_t q = 0; q < queries.size(); ++q) {
-    IPS_RETURN_IF_ERROR(
-        catalog_.EstimateAll(shard_index, *queries[q], estimates.data()));
-    for (size_t slot = 0; slot < resident; ++slot) {
-      heaps[q]->Offer(
-          static_cast<size_t>(catalog_.IdAt(shard_index, slot)),
-          estimates[slot]);
-    }
-  }
-  *scanned += resident;
-  return Status::Ok();
-}
-
 }  // namespace ipsketch

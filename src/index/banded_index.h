@@ -107,25 +107,6 @@ class BandedIndex final : public SketchStore::Listener {
                     const std::vector<uint64_t>& keys, size_t shard,
                     TopKHeap* heap, IndexProbeStats* stats) const;
 
-  /// Estimates `query` against every resident sketch of one shard through
-  /// the slab arena (no banding filter) and offers all of them to `heap` —
-  /// the exact-scan path over slab layout. `*scanned` grows by the shard's
-  /// resident count.
-  Status ScanShard(const AnySketch& query, size_t shard, TopKHeap* heap,
-                   size_t* scanned) const;
-
-  /// Batch form of ScanShard: estimates every query of `queries` against
-  /// the shard's resident slab under ONE shard-lock hold, reusing the
-  /// estimate buffer across queries — the 1-vs-many coalescing entry point
-  /// the FrontDoor's admission queue feeds (SlabCatalog::EstimateAll per
-  /// query over contiguous lanes). `heaps[i]` receives query i's offers;
-  /// `*scanned` grows by the shard's resident count (entries, not
-  /// entry × query pairs). Fails on the first bad query, leaving heaps of
-  /// earlier queries populated.
-  Status ScanShardBatch(const std::vector<const AnySketch*>& queries,
-                        size_t shard, const std::vector<TopKHeap*>& heaps,
-                        size_t* scanned) const;
-
  private:
   struct Shard {
     /// kIndexShard: acquired inside listener callbacks while the store's

@@ -1,9 +1,9 @@
 // The slot-addressed side of the banded index: per shard, one
 // structure-of-arrays SketchSlab (sketch/family.h) plus the slot ↔ id
-// bookkeeping a swap-remove arena needs. Candidate re-ranking and the
-// exact-scan fallback both estimate 1-query-vs-many-slots straight through
-// the slab's contiguous lanes (and so through the dispatched SIMD kernels),
-// with estimates bit-identical to SketchFamily::Estimate.
+// bookkeeping a swap-remove arena needs. Candidate re-ranking estimates
+// 1-query-vs-many-slots straight through the slab's contiguous lanes (and
+// so through the dispatched SIMD kernels), with estimates bit-identical to
+// SketchFamily::Estimate.
 //
 // NOT thread-safe: every method takes a shard index and must run under the
 // owner's lock for that shard (index/banded_index.h holds one
@@ -73,12 +73,6 @@ class SlabCatalog {
   Status EstimateMany(size_t shard, const AnySketch& query,
                       const uint32_t* slots, size_t count, double* out) const {
     return shards_[shard].slab->EstimateMany(query, slots, count, out);
-  }
-
-  /// Estimates `query` against every slot of `shard` into
-  /// `out[0..size(shard))` — the exact-scan path.
-  Status EstimateAll(size_t shard, const AnySketch& query, double* out) const {
-    return shards_[shard].slab->EstimateAll(query, out);
   }
 
  private:

@@ -49,7 +49,6 @@ FrontDoor::FrontDoor(const SketchStore* store, ThreadPool* pool,
     options_.max_concurrent_batches =
         pool_ != nullptr ? pool_->num_threads() : 1;
   }
-  engine_.set_read_mode(ReadMode::kSnapshot);
   auto& registry = metrics::MetricsRegistry::Global();
   submitted_ = &registry.GetCounter("ipsketch_frontdoor_submitted_total",
                                     "Requests submitted to the front door");
@@ -202,7 +201,7 @@ void FrontDoor::ExecuteBatch(std::vector<std::unique_ptr<Request>> batch) {
     // A failed sketch leaves query_sketch null; completed below.
   }
 
-  // Partition: estimates run directly (snapshot lookups), top-ks go
+  // Partition: estimates run directly (pinned-view lookups), top-ks go
   // through the engine's one-traversal batch API.
   std::vector<Request*> topks;
   std::vector<const AnySketch*> topk_queries;

@@ -15,13 +15,13 @@
 //      waiting for;
 //   3. drains the queue in batches and runs each batch through
 //      QueryEngine::TopKSketchBatch, which traverses the catalog once per
-//      *batch* — shards are pinned/locked once for all queries, raw query
+//      *batch* — each shard view is pinned once for all queries, raw query
 //      vectors are sketched with one shared Sketcher, and with a banded
-//      index attached the SlabCatalog 1-vs-many kernels
-//      (EstimateMany/EstimateAll) run over contiguous lanes;
-//   4. reads the store exclusively through the epoch-snapshot path
-//      (ReadMode::kSnapshot): zero shard-mutex acquisitions, so query
-//      traffic never contends with ingest.
+//      index attached candidates are re-ranked by the SlabCatalog
+//      1-vs-many kernel (EstimateMany) over contiguous lanes;
+//   4. reads the store, like every engine read, through pinned epoch
+//      views: zero shard-mutex acquisitions, so query traffic never
+//      contends with ingest.
 //
 // Locking (common/mutex.h): the admission queue is guarded by a
 // kFrontDoorQueue Mutex held only for push/pop and dispatch bookkeeping.
@@ -139,9 +139,8 @@ class FrontDoor {
 
   /// Serves `store` through `pool`. With a non-null `index` (attached to
   /// the same store), top-k batches follow `policy`; without one they run
-  /// the exact snapshot scan. `pool` may be null — dispatch then runs
-  /// inline on the submitting thread (degenerate but correct; useful in
-  /// tests).
+  /// the exact scan. `pool` may be null — dispatch then runs inline on the
+  /// submitting thread (degenerate but correct; useful in tests).
   FrontDoor(const SketchStore* store, ThreadPool* pool,
             const FrontDoorOptions& options = {},
             const BandedIndex* index = nullptr,
@@ -195,8 +194,8 @@ class FrontDoor {
   const SketchStore* store_;
   ThreadPool* pool_;
   FrontDoorOptions options_;
-  /// Snapshot-mode engine; serial inside a batch (parallelism comes from
-  /// concurrent batches, each on its own pool worker).
+  /// Serial inside a batch (parallelism comes from concurrent batches, each
+  /// on its own pool worker).
   QueryEngine engine_;
 
   mutable Mutex mu_{LockRank::kFrontDoorQueue};

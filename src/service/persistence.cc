@@ -119,23 +119,21 @@ std::string EncodeSketchStore(const SketchStore& store) {
   wire::AppendU64(&out, opts.num_shards);
   AppendFamilyOptions(&out, opts.sketch);
 
-  // Count first, then entries in (shard, id) order. Snapshots are taken per
+  // Count first, then entries in (shard, id) order straight from pinned
+  // shard views (already id-sorted; nothing is cloned). Views are pinned per
   // shard, so a concurrently-written store encodes *some* consistent-per-
   // shard state; quiesce writers for a point-in-time image.
-  std::vector<std::vector<StoreEntry>> shards;
-  shards.reserve(store.num_shards());
+  const std::vector<ShardViewPtr> views = store.PinStore();
   uint64_t count = 0;
-  for (size_t s = 0; s < store.num_shards(); ++s) {
-    shards.push_back(store.ShardSnapshot(s));
-    count += shards.back().size();
-  }
+  for (const ShardViewPtr& view : views) count += view->ids.size();
   wire::AppendU64(&out, count);
-  for (const auto& entries : shards) {
-    for (const StoreEntry& e : entries) {
-      wire::AppendU64(&out, e.id);
+  for (const ShardViewPtr& view : views) {
+    for (size_t i = 0; i < view->ids.size(); ++i) {
+      wire::AppendU64(&out, view->ids[i]);
       // Serialize cannot fail here: every stored sketch passed the family's
       // CheckCompatible on insert, so it is of the family's concrete type.
-      wire::AppendBytes(&out, store.family().Serialize(*e.sketch).value());
+      wire::AppendBytes(&out,
+                        store.family().Serialize(*view->sketches[i]).value());
     }
   }
   wire::AppendU64(&out, Checksum(out));
@@ -229,15 +227,23 @@ Status CheckStoreMatches(const SketchStore& store,
 Status SaveSketchStore(const SketchStore& store, const std::string& path) {
   metrics::ScopedLatency latency(&SaveNsHistogram());
   const std::string bytes = EncodeSketchStore(store);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
+  // Write a sibling temp file and rename it over `path` only once it is
+  // complete, so a failed save leaves the previous file untouched.
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
-    return Status::Internal("cannot open " + path + " for writing");
+    return Status::Internal("cannot open " + tmp + " for writing");
   }
   const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
   const bool close_ok = std::fclose(f) == 0;
   BytesWrittenCounter().Add(static_cast<uint64_t>(written));
   if (written != bytes.size() || !close_ok) {
-    return Status::Internal("short write to " + path);
+    std::remove(tmp.c_str());
+    return Status::Internal("short write to " + tmp);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::Internal("cannot rename " + tmp + " to " + path);
   }
   return Status::Ok();
 }

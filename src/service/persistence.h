@@ -22,11 +22,14 @@
 // verifies the checksum and then every frame, so neither structural damage
 // nor a flipped payload byte ever yields a silently wrong store.
 //
+// Save writes `path + ".tmp"` and renames it over `path` only after the
+// write and close succeed, so a failed save never destroys the previous
+// file (no fsync: this guards against failed writes, not power loss).
+//
 // Locking contract (see common/mutex.h): persistence holds no locks of its
-// own. Save reads through SketchStore::ShardSnapshot — each shard copied
-// under its kStoreShard Mutex, nothing held across shards or during file
-// I/O — and Load builds a private store no other thread can see yet, so
-// these functions never appear in any lock-order chain.
+// own. Save encodes from pinned shard views (SketchStore::PinStore), taking
+// no shard mutex, and Load builds a private store no other thread can see
+// yet, so these functions never appear in any lock-order chain.
 
 #ifndef IPSKETCH_SERVICE_PERSISTENCE_H_
 #define IPSKETCH_SERVICE_PERSISTENCE_H_
@@ -41,7 +44,7 @@ namespace ipsketch {
 
 /// Encodes the whole store (family + options + every sketch) to bytes. The
 /// encoding of a given store state is deterministic: entries are written in
-/// (shard, id) order from per-shard snapshots.
+/// (shard, id) order from per-shard pinned views.
 std::string EncodeSketchStore(const SketchStore& store);
 
 /// Decodes a store previously produced by EncodeSketchStore (version 2) or
@@ -59,9 +62,9 @@ Result<SketchStore> DecodeSketchStore(std::string_view bytes);
 Status CheckStoreMatches(const SketchStore& store,
                          const SketchStoreOptions& expected);
 
-/// Writes EncodeSketchStore(store) to `path` atomically enough for a single
-/// writer (write to a temp file in place is NOT attempted — this is a plain
-/// truncate-and-write). Internal error statuses on I/O failure.
+/// Writes EncodeSketchStore(store) to `path + ".tmp"`, then renames it over
+/// `path`. On any failure the temp file is removed and `path` keeps its
+/// previous contents. Internal error statuses on I/O failure.
 Status SaveSketchStore(const SketchStore& store, const std::string& path);
 
 /// Reads `path` and decodes it. NotFound if the file cannot be opened.

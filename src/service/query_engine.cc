@@ -58,40 +58,20 @@ Result<double> QueryEngine::EstimateInnerProduct(uint64_t id_a,
                                                  uint64_t id_b) const {
   metrics::ScopedLatency latency(estimate_pair_ns_);
   queries_->Add(1);
-  if (read_mode_ == ReadMode::kSnapshot) {
-    // Pinned views instead of Lookup: no shard mutex, no sketch clones.
-    const ShardViewPtr va = store_->PinShard(store_->ShardOf(id_a));
-    const AnySketch* a = va->Find(id_a);
-    if (a == nullptr) {
-      return Status::NotFound("no sketch stored under id " +
-                              std::to_string(id_a));
-    }
-    const ShardViewPtr vb = store_->PinShard(store_->ShardOf(id_b));
-    const AnySketch* b = vb->Find(id_b);
-    if (b == nullptr) {
-      return Status::NotFound("no sketch stored under id " +
-                              std::to_string(id_b));
-    }
-    return va->family->Estimate(*a, *b);
+  // Pinned views instead of Lookup: no sketch clones.
+  const ShardViewPtr va = store_->PinShard(store_->ShardOf(id_a));
+  const AnySketch* a = va->Find(id_a);
+  if (a == nullptr) {
+    return Status::NotFound("no sketch stored under id " +
+                            std::to_string(id_a));
   }
-  auto a = store_->Lookup(id_a);
-  IPS_RETURN_IF_ERROR(a.status());
-  auto b = store_->Lookup(id_b);
-  IPS_RETURN_IF_ERROR(b.status());
-  return store_->family().Estimate(*a.value(), *b.value());
-}
-
-bool QueryEngine::ScanStoreShard(
-    size_t shard,
-    const std::function<bool(uint64_t, const AnySketch&)>& fn) const {
-  if (read_mode_ == ReadMode::kSnapshot) {
-    const ShardViewPtr view = store_->PinShard(shard);
-    for (size_t i = 0; i < view->ids.size(); ++i) {
-      if (!fn(view->ids[i], *view->sketches[i])) return false;
-    }
-    return true;
+  const ShardViewPtr vb = store_->PinShard(store_->ShardOf(id_b));
+  const AnySketch* b = vb->Find(id_b);
+  if (b == nullptr) {
+    return Status::NotFound("no sketch stored under id " +
+                            std::to_string(id_b));
   }
-  return store_->ForEachInShard(shard, fn);
+  return va->family->Estimate(*a, *b);
 }
 
 Result<std::unique_ptr<AnySketch>> QueryEngine::SketchQuery(
@@ -125,27 +105,23 @@ Result<std::vector<QueryHit>> QueryEngine::EstimateAgainstQuery(
   const SketchFamily& family = store_->family();
 
   std::vector<std::vector<QueryHit>> per_shard(store_->num_shards());
-  // kLeaf: acquired while a store shard lock (kStoreShard) is held inside
-  // the scan callback; nothing nests under it.
+  // kLeaf: taken by scan workers that hold no other lock.
   Mutex error_mu;
   Status first_error;
   {
     metrics::ScopedSpan span(trace, "shard-scan");
     ForEachShard([&](size_t s) {
-      // In kLockedScan mode estimation runs under the shard lock: copying
-      // whole shards out per query would cost far more than briefly
-      // blocking that shard's writers — the estimator is O(m) per entry
-      // and read-only. kSnapshot trades that contention for a pinned view.
-      ScanStoreShard(s, [&](uint64_t id, const AnySketch& sketch) {
-        auto est = family.Estimate(qs, sketch);
+      const ShardViewPtr view = store_->PinShard(s);
+      per_shard[s].reserve(view->ids.size());
+      for (size_t i = 0; i < view->ids.size(); ++i) {
+        auto est = family.Estimate(qs, *view->sketches[i]);
         if (!est.ok()) {
           MutexLock lock(&error_mu);
           if (first_error.ok()) first_error = est.status();
-          return false;
+          return;
         }
-        per_shard[s].push_back({id, est.value()});
-        return true;
-      });
+        per_shard[s].push_back({view->ids[i], est.value()});
+      }
     });
   }
   IPS_RETURN_IF_ERROR(first_error);
@@ -204,8 +180,8 @@ Result<std::vector<QueryHit>> QueryEngine::TopKSketchWithPolicy(
   heaps.reserve(n);
   for (size_t s = 0; s < n; ++s) heaps.emplace_back(k);
   std::vector<size_t> scanned(n, 0);
-  // kLeaf: record_error runs inside shard-scan callbacks with a store or
-  // index shard lock held; nothing nests under it.
+  // kLeaf: record_error runs in scan workers, at most under an index shard
+  // lock; nothing nests under it.
   Mutex error_mu;
   Status first_error;
   auto record_error = [&](const Status& st) {
@@ -217,24 +193,16 @@ Result<std::vector<QueryHit>> QueryEngine::TopKSketchWithPolicy(
     case IndexPolicy::kExactScan: {
       metrics::ScopedSpan span(trace, "shard-scan");
       ForEachShard([&](size_t s) {
-        ScanStoreShard(s, [&](uint64_t id, const AnySketch& sketch) {
-          auto est = family.Estimate(query, sketch);
+        const ShardViewPtr view = store_->PinShard(s);
+        for (size_t i = 0; i < view->ids.size(); ++i) {
+          auto est = family.Estimate(query, *view->sketches[i]);
           if (!est.ok()) {
             record_error(est.status());
-            return false;
+            return;
           }
-          heaps[s].Offer(static_cast<size_t>(id), est.value());
+          heaps[s].Offer(static_cast<size_t>(view->ids[i]), est.value());
           ++scanned[s];
-          return true;
-        });
-      });
-      break;
-    }
-    case IndexPolicy::kSlabScan: {
-      metrics::ScopedSpan span(trace, "shard-scan");
-      ForEachShard([&](size_t s) {
-        Status st = index_->ScanShard(query, s, &heaps[s], &scanned[s]);
-        if (!st.ok()) record_error(st);
+        }
       });
       break;
     }
@@ -319,12 +287,13 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::TopKSketchBatch(
     heaps[q].reserve(n);
     for (size_t s = 0; s < n; ++s) heaps[q].emplace_back(ks[q]);
   }
-  // Shared by exact/slab (every live query scans the same entries);
-  // per-query candidate counts for the banded path come from probe stats.
+  // The exact path's per-shard entry counts (every live query scans the
+  // same entries); per-query candidate counts for the banded path come
+  // from probe stats.
   std::vector<size_t> entries_per_shard(n, 0);
   std::vector<std::vector<IndexProbeStats>> probe_stats;
-  // kLeaf: record_error runs inside scan callbacks with a store or index
-  // shard lock held; nothing nests under it.
+  // kLeaf: record_error runs in scan workers, at most under an index shard
+  // lock; nothing nests under it.
   Mutex error_mu;
   std::vector<Status> errors(q_count);
   auto record_error = [&](size_t q, const Status& st) {
@@ -335,8 +304,10 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::TopKSketchBatch(
   switch (policy) {
     case IndexPolicy::kExactScan: {
       ForEachShard([&](size_t s) {
-        ScanStoreShard(s, [&](uint64_t id, const AnySketch& sketch) {
-          ++entries_per_shard[s];
+        const ShardViewPtr view = store_->PinShard(s);
+        entries_per_shard[s] = view->ids.size();
+        for (size_t i = 0; i < view->ids.size(); ++i) {
+          const AnySketch& sketch = *view->sketches[i];
           for (size_t q = 0; q < q_count; ++q) {
             if (!live[q]) continue;
             auto est = family.Estimate(*queries[q], sketch);
@@ -344,29 +315,7 @@ std::vector<Result<std::vector<QueryHit>>> QueryEngine::TopKSketchBatch(
               record_error(q, est.status());
               continue;
             }
-            heaps[q][s].Offer(static_cast<size_t>(id), est.value());
-          }
-          return true;
-        });
-      });
-      break;
-    }
-    case IndexPolicy::kSlabScan: {
-      ForEachShard([&](size_t s) {
-        std::vector<const AnySketch*> shard_queries;
-        std::vector<TopKHeap*> shard_heaps;
-        shard_queries.reserve(live_count);
-        shard_heaps.reserve(live_count);
-        for (size_t q = 0; q < q_count; ++q) {
-          if (!live[q]) continue;
-          shard_queries.push_back(queries[q]);
-          shard_heaps.push_back(&heaps[q][s]);
-        }
-        Status st = index_->ScanShardBatch(shard_queries, s, shard_heaps,
-                                           &entries_per_shard[s]);
-        if (!st.ok()) {
-          for (size_t q = 0; q < q_count; ++q) {
-            if (live[q]) record_error(q, st);
+            heaps[q][s].Offer(static_cast<size_t>(view->ids[i]), est.value());
           }
         }
       });

@@ -9,15 +9,15 @@
 // a CountSketch catalog and a Weighted MinHash catalog run through exactly
 // the same code.
 //
-// Concurrency model: N shards (hash-on-id), one mutex per shard. Writers to
-// different shards never contend; readers either copy sketches out under
-// the shard lock (Lookup, Snapshot), scan in place while holding it
-// (ForEachInShard), or — the heavy-read path — pin an immutable epoch view
-// published by writers and never take the shard mutex at all (PinShard;
-// see ShardView and docs/ARCHITECTURE.md's snapshot-epoch protocol). Batch
-// ingest sketches *outside* any lock (sketching is the expensive part)
-// with one family Sketcher per worker thread, then takes each shard lock
-// only for the map insert and the copy-on-write view publication.
+// Concurrency model: N shards (hash-on-id), one mutex per shard, and one
+// catalog structure per shard: the published immutable ShardView. Writers
+// build the successor view under the shard mutex and publish it with one
+// atomic swap; every read — point lookups, scans, sizes, snapshots, the
+// query engine and persistence — pins the current view (PinShard) and never
+// takes the shard mutex (see ShardView and docs/ARCHITECTURE.md's
+// snapshot-epoch protocol). Batch ingest sketches *outside* any lock
+// (sketching is the expensive part) with one family Sketcher per worker
+// thread, then takes each shard lock only for the copy-on-write publish.
 //
 // Every sketch in a store shares the family's resolved options — the
 // estimator's compatibility requirement — enforced at construction and on
@@ -29,11 +29,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -80,8 +78,8 @@ struct StoreEntry {
 /// stays internally consistent — sketches and the estimator that understands
 /// them travel together — even across CompactifyInPlace.
 struct ShardView {
-  /// Per-shard publication sequence number; the empty pre-insert view is
-  /// epoch 0 and every mutation increments it.
+  /// Per-shard publication sequence number: the empty pre-insert view is
+  /// epoch 0 and each published view is its predecessor's epoch + 1.
   uint64_t epoch = 0;
   std::shared_ptr<const SketchFamily> family;
   /// Sorted ascending; parallel to `sketches`.
@@ -94,7 +92,7 @@ struct ShardView {
 
 using ShardViewPtr = std::shared_ptr<const ShardView>;
 
-/// The sharded concurrent map. All public methods are thread-safe.
+/// The sharded concurrent catalog. All public methods are thread-safe.
 class SketchStore {
  public:
   /// Receives synchronous mutation notifications (see AttachListener). Both
@@ -183,26 +181,16 @@ class SketchStore {
   Status DetachListener(Listener* listener);
 
   /// Copies out one shard's contents, sorted by id. Each shard snapshot is
-  /// internally consistent (taken under the shard lock); a full-store
+  /// internally consistent (cloned from one pinned view); a full-store
   /// iteration built from per-shard snapshots is *not* a point-in-time view
-  /// across shards — concurrent writers may land between shard copies.
+  /// across shards — concurrent writers may land between shard pins.
   std::vector<StoreEntry> ShardSnapshot(size_t shard) const;
-
-  /// Invokes fn(id, sketch) for every entry of one shard, *under that
-  /// shard's lock*, in unspecified order; returns false iff `fn` ever did
-  /// (which stops the scan early). The allocation-free scan path used by
-  /// query scans: nothing is copied, at the price that writers to this
-  /// shard block until the scan finishes — keep `fn` read-only and cheap,
-  /// and never touch the store from inside it (the lock is held).
-  bool ForEachInShard(
-      size_t shard,
-      const std::function<bool(uint64_t, const AnySketch&)>& fn) const;
 
   /// Pins the currently published view of one shard: one atomic load, no
   /// shard-mutex acquisition, never null. The view is immutable and sorted
   /// by id; holding the pointer keeps its epoch's sketches alive while
-  /// writers publish newer epochs. This is the read path heavy query
-  /// traffic should use — it cannot contend with ingest.
+  /// writers publish newer epochs. Every read of the store goes through
+  /// here, so reads cannot contend with ingest.
   ShardViewPtr PinShard(size_t shard) const;
 
   /// Pins every shard's current view. Each view is internally consistent;
@@ -248,20 +236,16 @@ class SketchStore {
 
  private:
   struct Shard {
-    mutable Mutex mu{LockRank::kStoreShard};
-    /// Values are shared so the published views can reference them without
-    /// cloning; the map itself stays the single mutable source of truth.
-    std::unordered_map<uint64_t, std::shared_ptr<const AnySketch>> map
-        IPS_GUARDED_BY(mu);
+    /// Serializes writers: each mutation builds and publishes the successor
+    /// of `view` under it. Readers never take it.
+    Mutex mu{LockRank::kStoreShard};
     /// Mirror of the store-level listener, guarded by `mu` so mutation
     /// paths need no second lock to find it.
     Listener* listener IPS_GUARDED_BY(mu) = nullptr;
-    /// Publication count — the epoch stamped into the next view.
-    uint64_t version IPS_GUARDED_BY(mu) = 0;
-    /// The published immutable view. Written by mutators under `mu`
-    /// (copy-on-write from the previous view), read lock-free by PinShard.
-    /// Initialized to the empty epoch-0 view at construction, so readers
-    /// never observe null.
+    /// The shard's contents — its only id → sketch structure. Written by
+    /// mutators under `mu` (copy-on-write from the previous view), read
+    /// lock-free by PinShard. Initialized to the empty epoch-0 view at
+    /// construction, so readers never observe null.
     std::atomic<ShardViewPtr> view;
   };
 
@@ -270,20 +254,15 @@ class SketchStore {
 
   /// Publishes the successor view of `shard` with `id` inserted or
   /// replaced: O(shard size) pointer copies from the previous view, one
-  /// sorted-position splice, one atomic swap.
-  void PublishInsertLocked(Shard& shard, uint64_t id,
-                           const std::shared_ptr<const AnySketch>& sketch)
+  /// sorted-position splice, one atomic swap. Returns true iff `id` was
+  /// not resident before.
+  bool PublishInsertLocked(Shard& shard, uint64_t id,
+                           std::shared_ptr<const AnySketch> sketch)
       IPS_REQUIRES(shard.mu);
 
-  /// Publishes the successor view of `shard` with `id` removed.
-  void PublishEraseLocked(Shard& shard, uint64_t id) IPS_REQUIRES(shard.mu);
-
-  /// Rebuilds and publishes `shard`'s view from its map under `family` —
-  /// the bulk path CompactifyInPlace uses after swapping a shard's
-  /// contents wholesale.
-  void PublishRebuildLocked(Shard& shard,
-                            std::shared_ptr<const SketchFamily> family)
-      IPS_REQUIRES(shard.mu);
+  /// Publishes the successor view of `shard` with the entry at `pos` of the
+  /// current view removed.
+  void PublishEraseLocked(Shard& shard, size_t pos) IPS_REQUIRES(shard.mu);
 
   /// Subtracts every shard's current occupancy from the gauges — the
   /// shared cleanup of the destructor and move assignment.
@@ -306,7 +285,6 @@ class SketchStore {
   metrics::Counter* inserts_ = nullptr;
   metrics::Counter* erases_ = nullptr;
   metrics::Histogram* ingest_ns_ = nullptr;
-  metrics::Histogram* scan_lock_ns_ = nullptr;
   metrics::Gauge* size_gauge_ = nullptr;
   // One gauge per shard index, named ...{shard="i"} — per-shard skew is
   // visible directly in the exposition.

@@ -185,10 +185,6 @@ class SketchSlab {
   /// candidate re-rank path. Every slot must be in range.
   virtual Status EstimateMany(const AnySketch& query, const uint32_t* slots,
                               size_t count, double* out) const = 0;
-
-  /// Estimates `query` against every resident slot into `out[0..size())` —
-  /// the exact-scan path.
-  virtual Status EstimateAll(const AnySketch& query, double* out) const = 0;
 };
 
 /// A reusable per-thread sketching context (scratch buffers, validated

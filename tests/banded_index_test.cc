@@ -1,13 +1,14 @@
 // BandedIndex + index-aware QueryEngine: listener attach/replay coherence
-// under insert/erase/replace, banded and slab-scan top-k against the exact
-// scan (slab-scan must be bit-identical; banded must find planted
-// neighbors), TopK edge cases on both paths, deterministic tie-breaks,
-// null-index fallback accounting, recall probes, and a concurrent
-// insert/erase/query stress the TSAN job runs.
+// under insert/erase/replace (the index mirrors the store exactly, with
+// bit-exact self-estimates), banded top-k against the exact scan (banded
+// must find planted neighbors), TopK edge cases on both paths,
+// deterministic tie-breaks, null-index fallback accounting, recall probes,
+// and a concurrent insert/erase/query stress the TSAN job runs.
 
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,6 +60,35 @@ SketchStore MakeFilledStore(size_t count, uint64_t seed_base = 100) {
 
 uint64_t CounterValue(const std::string& name) {
   return metrics::MetricsRegistry::Global().GetCounter(name, "").Value();
+}
+
+// The index mirrors the store exactly: equal sizes; every resident id
+// surfaces from a banded self-query at k = store size, with an estimate
+// bit-equal to the family's self-estimate; and no id of `erased` surfaces.
+void ExpectIndexMirrorsStore(const SketchStore& store,
+                             const BandedIndex& index,
+                             const std::set<uint64_t>& erased) {
+  EXPECT_EQ(index.size(), store.size());
+  QueryEngine banded(&store, nullptr, &index, IndexPolicy::kBandedRerank);
+  for (uint64_t id : store.Ids()) {
+    auto stored = store.Lookup(id);
+    ASSERT_TRUE(stored.ok());
+    const AnySketch& sketch = *stored.value();
+    auto self = store.family().Estimate(sketch, sketch);
+    ASSERT_TRUE(self.ok());
+    auto hits = banded.TopKSketch(sketch, store.size());
+    ASSERT_TRUE(hits.ok());
+    bool found = false;
+    for (const QueryHit& hit : hits.value()) {
+      EXPECT_EQ(erased.count(hit.id), 0u) << "erased id " << hit.id;
+      if (hit.id != id) continue;
+      found = true;
+      EXPECT_EQ(std::bit_cast<uint64_t>(hit.estimate),
+                std::bit_cast<uint64_t>(self.value()))
+          << "id " << id;
+    }
+    EXPECT_TRUE(found) << "resident id " << id << " missing from the index";
+  }
 }
 
 TEST(BandedLshParamsTest, ValidateEnforcesTheBandsTimesRowsBudget) {
@@ -158,33 +188,35 @@ TEST(BandedIndexTest, BandedSelfQueriesFindEveryStoredVector) {
   }
 }
 
-TEST(BandedIndexTest, SlabScanMatchesExactScanBitForBit) {
+TEST(BandedIndexTest, IndexMirrorsStoreAfterMutationSequence) {
   constexpr size_t kCorpus = 50;  // > num_shards, so every shard is populated
-  SketchStore store = MakeFilledStore(kCorpus);
+  SketchStore store = MakeFilledStore(kCorpus);  // ids 1..50
   auto index = BandedIndex::MakeAttached(&store, {16, 4});
   ASSERT_TRUE(index.ok());
-  ThreadPool pool(4);
-  QueryEngine exact(&store, &pool);
-  QueryEngine slab(&store, &pool, index.value().get(), IndexPolicy::kSlabScan);
-  for (uint64_t seed : {1u, 2u, 3u}) {
-    const SparseVector query = RandomVector(9000 + seed);
-    for (size_t k : {1u, 10u, 17u}) {
-      auto a = exact.TopK(query, k);
-      auto b = slab.TopK(query, k);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      ASSERT_EQ(a.value().size(), b.value().size());
-      for (size_t i = 0; i < a.value().size(); ++i) {
-        EXPECT_EQ(a.value()[i].id, b.value()[i].id) << "rank " << i;
-        EXPECT_EQ(std::bit_cast<uint64_t>(a.value()[i].estimate),
-                  std::bit_cast<uint64_t>(b.value()[i].estimate))
-            << "rank " << i;
-      }
-    }
+  std::set<uint64_t> erased;
+  for (uint64_t id = 100; id < 120; ++id) {  // fresh ids
+    ASSERT_TRUE(store.BuildAndInsert(id, RandomVector(id)).ok());
   }
+  for (uint64_t id = 1; id <= 10; ++id) {  // replacements
+    ASSERT_TRUE(store.BuildAndInsert(id, RandomVector(5000 + id)).ok());
+  }
+  for (uint64_t id = 11; id <= 25; ++id) {
+    ASSERT_TRUE(store.Erase(id).ok());
+    erased.insert(id);
+  }
+  for (uint64_t id = 105; id < 110; ++id) {
+    ASSERT_TRUE(store.Erase(id).ok());
+    erased.insert(id);
+  }
+  for (uint64_t id : {11u, 12u, 106u}) {  // erased, then back
+    ASSERT_TRUE(store.BuildAndInsert(id, RandomVector(6000 + id)).ok());
+    erased.erase(id);
+  }
+  ASSERT_EQ(store.size(), kCorpus + 20 - erased.size());
+  ExpectIndexMirrorsStore(store, *index.value(), erased);
 }
 
-TEST(BandedIndexTest, TopKEdgeCasesOnExactSlabAndBandedPaths) {
+TEST(BandedIndexTest, TopKEdgeCasesOnExactAndBandedPaths) {
   SketchStore empty_store = MakeFilledStore(0);
   auto empty_index = BandedIndex::MakeAttached(&empty_store, {16, 4});
   ASSERT_TRUE(empty_index.ok());
@@ -195,7 +227,6 @@ TEST(BandedIndexTest, TopKEdgeCasesOnExactSlabAndBandedPaths) {
   const SparseVector query = RandomVector(777);
 
   const IndexPolicy policies[] = {IndexPolicy::kExactScan,
-                                  IndexPolicy::kSlabScan,
                                   IndexPolicy::kBandedRerank};
   for (IndexPolicy policy : policies) {
     SCOPED_TRACE(static_cast<int>(policy));
@@ -215,8 +246,8 @@ TEST(BandedIndexTest, TopKEdgeCasesOnExactSlabAndBandedPaths) {
     ASSERT_TRUE(none.ok());
     EXPECT_TRUE(none.value().empty());
 
-    // k > corpus: at most the corpus comes back (exact/slab return all of
-    // it; banded returns its candidates), sorted best-first with no
+    // k > corpus: at most the corpus comes back (exact returns all of it;
+    // banded returns its candidates), sorted best-first with no
     // duplicate ids.
     auto all = engine.TopK(query, kCorpus + 100);
     ASSERT_TRUE(all.ok());
@@ -257,7 +288,6 @@ TEST(BandedIndexTest, TiedEstimatesBreakTowardSmallerIdsOnEveryPath) {
   }
   ThreadPool pool(4);
   const IndexPolicy policies[] = {IndexPolicy::kExactScan,
-                                  IndexPolicy::kSlabScan,
                                   IndexPolicy::kBandedRerank};
   for (IndexPolicy policy : policies) {
     SCOPED_TRACE(static_cast<int>(policy));
@@ -341,7 +371,7 @@ TEST(BandedIndexTest, ProbeRecallIsBoundedAndPerfectOnSelfQueries) {
 }
 
 // TSAN coverage: writers mutating the store (and, through the listener, the
-// index) while readers run banded, slab, and exact queries concurrently.
+// index) while readers run banded and exact queries concurrently.
 TEST(BandedIndexTest, ConcurrentInsertEraseAndQueryStress) {
   SketchStore store = MakeFilledStore(32);
   auto index = BandedIndex::MakeAttached(&store, {16, 4});
@@ -349,8 +379,7 @@ TEST(BandedIndexTest, ConcurrentInsertEraseAndQueryStress) {
   ThreadPool pool(2);
   QueryEngine engine(&store, &pool, index.value().get(),
                      IndexPolicy::kBandedRerank);
-  QueryEngine slab(&store, nullptr, index.value().get(),
-                   IndexPolicy::kSlabScan);
+  QueryEngine exact(&store, nullptr);
 
   constexpr size_t kOps = 150;
   std::thread writer([&] {
@@ -371,31 +400,26 @@ TEST(BandedIndexTest, ConcurrentInsertEraseAndQueryStress) {
       ASSERT_TRUE(hits.ok());
     }
   });
-  std::thread slab_reader([&] {
+  std::thread exact_reader([&] {
     for (size_t i = 0; i < 40; ++i) {
-      auto hits = slab.TopK(RandomVector(8500 + i), 5);
+      auto hits = exact.TopK(RandomVector(8500 + i), 5);
       ASSERT_TRUE(hits.ok());
     }
   });
   writer.join();
   eraser.join();
   banded_reader.join();
-  slab_reader.join();
+  exact_reader.join();
 
-  // Quiesced: the index mirrors the store exactly, and a full slab scan
-  // agrees with the exact scan bit for bit.
-  EXPECT_EQ(index.value()->size(), store.size());
-  QueryEngine exact(&store, nullptr);
-  auto a = exact.TopK(RandomVector(9999), 20);
-  auto b = slab.TopK(RandomVector(9999), 20);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a.value().size(), b.value().size());
-  for (size_t i = 0; i < a.value().size(); ++i) {
-    EXPECT_EQ(a.value()[i].id, b.value()[i].id);
-    EXPECT_EQ(std::bit_cast<uint64_t>(a.value()[i].estimate),
-              std::bit_cast<uint64_t>(b.value()[i].estimate));
+  // Quiesced: the index mirrors the store exactly — every id the threads
+  // touched is either resident in both or in neither.
+  std::set<uint64_t> erased;
+  for (size_t i = 0; i < kOps; ++i) {
+    for (uint64_t id : {uint64_t{1000} + i, uint64_t{1} + (i % 32)}) {
+      if (!store.Contains(id)) erased.insert(id);
+    }
   }
+  ExpectIndexMirrorsStore(store, *index.value(), erased);
 }
 
 }  // namespace

@@ -1,12 +1,17 @@
 // FrontDoor: async results match the synchronous engine, shedding and
 // deadlines complete futures with the right codes, destruction never
-// leaves a future hanging, and the read path takes zero shard mutexes.
+// leaves a future hanging, and no read — front door, engine or store —
+// waits on a writer holding a store shard mutex.
 
 #include "service/front_door.h"
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -234,13 +239,13 @@ TEST(FrontDoorTest, SnapshotReadsServeThroughCompactifyRefusal) {
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   ThreadPool pool(2);
   FrontDoor door(&store, &pool, {}, index.value().get(),
-                 IndexPolicy::kSlabScan);
+                 IndexPolicy::kBandedRerank);
 
   auto before = door.SubmitTopK(RandomVector(50), 5).Take();
   ASSERT_TRUE(before.ok());
 
   // With a listener attached, in-place compactification must refuse — the
-  // slab mirror cannot survive a family swap.
+  // index's slab mirror cannot survive a family swap.
   Status st = store.CompactifyInPlace("wmh_compact");
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
@@ -255,53 +260,100 @@ TEST(FrontDoorTest, SnapshotReadsServeThroughCompactifyRefusal) {
   }
 }
 
-TEST(FrontDoorTest, SlabScanPolicyMatchesExactScan) {
-  SketchStore store = MakePopulatedStore();
-  auto index = BandedIndex::MakeAttached(&store, {/*bands=*/8, /*rows=*/2});
-  ASSERT_TRUE(index.ok());
-  ThreadPool pool(2);
-  FrontDoor door(&store, &pool, {}, index.value().get(),
-                 IndexPolicy::kSlabScan);
-  QueryEngine exact(&store);
+// Parks the writer that stores `park_id` inside OnInsert — which runs with
+// that id's store shard mutex held — until Release().
+class ParkingListener final : public SketchStore::Listener {
+ public:
+  explicit ParkingListener(uint64_t park_id) : park_id_(park_id) {}
 
-  for (int i = 0; i < 4; ++i) {
-    auto slab_hits = door.SubmitTopK(RandomVector(300 + i), 8).Take();
-    ASSERT_TRUE(slab_hits.ok());
-    auto exact_hits = exact.TopK(RandomVector(300 + i), 8);
-    ASSERT_TRUE(exact_hits.status().ok());
-    ASSERT_EQ(slab_hits.value().size(), exact_hits.value().size());
-    for (size_t j = 0; j < slab_hits.value().size(); ++j) {
-      EXPECT_EQ(slab_hits.value()[j].id, exact_hits.value()[j].id);
-      EXPECT_EQ(slab_hits.value()[j].estimate,
-                exact_hits.value()[j].estimate);
+  void OnInsert(uint64_t id, const AnySketch&) override {
+    if (id != park_id_) return;
+    parked_.store(true);
+    while (!released_.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
-}
+  void OnErase(uint64_t) override {}
 
-// Acceptance: a read-only burst through the front door never acquires a
-// store shard mutex (the snapshot path is mutex-free for readers).
-TEST(FrontDoorTest, ReadBurstTakesZeroShardMutexAcquisitions) {
-  if (!metrics::kCompiledIn) {
-    GTEST_SKIP() << "metrics compiled out; no scan-lock histogram to watch";
+  bool parked() const { return parked_.load(); }
+  void Release() { released_.store(true); }
+
+ private:
+  const uint64_t park_id_;
+  std::atomic<bool> parked_{false};
+  std::atomic<bool> released_{false};
+};
+
+// Reads never wait on a store shard mutex: while a writer holds one shard's
+// mutex, every read API over ids in that shard must still finish.
+TEST(FrontDoorTest, ReadsFinishWhileAWriterHoldsTheShardMutex) {
+  constexpr size_t kResident = 40;
+  SketchStore store = MakePopulatedStore(kResident);
+  const size_t shard = store.ShardOf(0);
+  std::vector<uint64_t> in_shard;
+  for (uint64_t id = 0; id < kResident; ++id) {
+    if (store.ShardOf(id) == shard) in_shard.push_back(id);
   }
-  metrics::SetEnabledForTesting(true);
-  SketchStore store = MakePopulatedStore();
+  ASSERT_GE(in_shard.size(), 2u);
+  const uint64_t a = in_shard[0];
+  const uint64_t b = in_shard[1];
+  uint64_t park_id = 1000;
+  while (store.ShardOf(park_id) != shard) ++park_id;
+
   ThreadPool pool(2);
   FrontDoor door(&store, &pool);
-  auto& scan_lock = metrics::MetricsRegistry::Global().GetHistogram(
-      "ipsketch_store_scan_lock_ns",
-      "Shard-lock acquire plus hold time of in-place shard scans");
+  QueryEngine engine(&store);
+  const std::vector<std::pair<const char*, std::function<bool()>>> calls = {
+      {"FrontDoor::SubmitTopK",
+       [&] { return door.SubmitTopK(RandomVector(a), 5).Take().ok(); }},
+      {"FrontDoor::SubmitEstimate",
+       [&] { return door.SubmitEstimate(a, b).Take().ok(); }},
+      {"QueryEngine::TopK",
+       [&] { return engine.TopK(RandomVector(b), 5).ok(); }},
+      {"QueryEngine::EstimateAgainstQuery",
+       [&] { return engine.EstimateAgainstQuery(RandomVector(a)).ok(); }},
+      {"QueryEngine::EstimateInnerProduct",
+       [&] { return engine.EstimateInnerProduct(a, b).ok(); }},
+      {"SketchStore::Contains", [&] { return store.Contains(a); }},
+      {"SketchStore::Lookup", [&] { return store.Lookup(b).ok(); }},
+      {"SketchStore::size", [&] { return store.size() >= kResident; }},
+      {"SketchStore::Ids", [&] { return store.Ids().size() >= kResident; }},
+  };
 
-  const uint64_t before = scan_lock.Count();
-  std::vector<FrontDoorFuture<std::vector<QueryHit>>> topks;
-  std::vector<FrontDoorFuture<double>> estimates;
-  for (int i = 0; i < 40; ++i) {
-    topks.push_back(door.SubmitTopK(RandomVector(400 + i), 5));
-    estimates.push_back(door.SubmitEstimate(i % 40, (i + 7) % 40));
+  ParkingListener listener(park_id);
+  ASSERT_TRUE(store.AttachListener(&listener).ok());
+  // From here until Release() no ASSERT may return early: the parked writer
+  // and the reader must both be joined.
+  std::thread writer([&] {
+    EXPECT_TRUE(store.BuildAndInsert(park_id, RandomVector(park_id)).ok());
+  });
+  while (!listener.parked()) std::this_thread::yield();
+
+  std::atomic<size_t> finished{0};
+  std::vector<const char*> failed;  // written by the reader, read after join
+  std::thread reader([&] {
+    for (const auto& [name, call] : calls) {
+      if (!call()) failed.push_back(name);
+      finished.fetch_add(1);
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (finished.load() < calls.size() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  for (auto& f : topks) ASSERT_TRUE(f.Take().ok());
-  for (auto& f : estimates) ASSERT_TRUE(f.Take().ok());
-  EXPECT_EQ(scan_lock.Count(), before);
+  const size_t done_before_release = finished.load();
+  listener.Release();
+  reader.join();
+  writer.join();
+
+  EXPECT_EQ(done_before_release, calls.size())
+      << calls[std::min(done_before_release, calls.size() - 1)].first
+      << " waited on the parked writer's shard mutex";
+  for (const char* name : failed) ADD_FAILURE() << name << " failed";
+  EXPECT_TRUE(store.Contains(park_id));
+  EXPECT_TRUE(store.DetachListener(&listener).ok());
 }
 
 TEST(FrontDoorTest, CountersAccountForEveryOutcome) {

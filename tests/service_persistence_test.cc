@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -96,6 +97,37 @@ TEST(StorePersistenceTest, SaveLoadPreservesOptionsAndContents) {
   EXPECT_EQ(reloaded.options().sketch, store.options().sketch);
   EXPECT_EQ(reloaded.size(), store.size());
   EXPECT_EQ(reloaded.Ids(), store.Ids());
+  std::remove(path.c_str());
+}
+
+TEST(StorePersistenceTest, SaveLeavesNoTempFileBehind) {
+  const auto store = MakePopulatedStore(20);
+  const std::string path = TempPath("store_no_tmp.bin");
+  ASSERT_TRUE(SaveSketchStore(store, path).ok());
+  ASSERT_TRUE(SaveSketchStore(store, path).ok());  // over an existing file
+  EXPECT_TRUE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_TRUE(LoadSketchStore(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(StorePersistenceTest, FailedSaveKeepsThePreviousFile) {
+  const auto old_store = MakePopulatedStore(20);
+  const std::string path = TempPath("store_failed_save.bin");
+  ASSERT_TRUE(SaveSketchStore(old_store, path).ok());
+
+  // A directory squatting on the temp name makes the temp open fail.
+  const std::string tmp = path + ".tmp";
+  std::filesystem::remove_all(tmp);
+  ASSERT_TRUE(std::filesystem::create_directory(tmp));
+  const auto new_store = MakePopulatedStore(35);
+  EXPECT_FALSE(SaveSketchStore(new_store, path).ok());
+
+  auto loaded = LoadSketchStore(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().Ids(), old_store.Ids());
+  EXPECT_EQ(EncodeSketchStore(loaded.value()), EncodeSketchStore(old_store));
+  std::filesystem::remove_all(tmp);
   std::remove(path.c_str());
 }
 

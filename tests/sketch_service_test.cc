@@ -560,6 +560,7 @@ TEST(SketchServiceStressTest, ConcurrentIngestAndQuery) {
   std::atomic<bool> stop{false};
   std::atomic<size_t> insert_failures{0};
   std::atomic<size_t> reader_errors{0};
+  std::atomic<size_t> readers_started{0};  // finished >= 1 round
 
   std::vector<std::thread> writers;
   for (size_t w = 0; w < kWriters; ++w) {
@@ -588,13 +589,16 @@ TEST(SketchServiceStressTest, ConcurrentIngestAndQuery) {
             lookup.status().code() != StatusCode::kNotFound) {
           reader_errors.fetch_add(1);
         }
-        ++rounds;
+        if (++rounds == 1) readers_started.fetch_add(1);
       }
       EXPECT_GT(rounds, 0u);
     });
   }
 
   for (auto& w : writers) w.join();
+  // Every reader gets at least one round in before `stop`, however late the
+  // scheduler started it.
+  while (readers_started.load() < kReaders) std::this_thread::yield();
   stop.store(true);
   for (auto& r : readers) r.join();
 

@@ -1,7 +1,10 @@
 #include "data/synthetic.h"
 
 #include <cmath>
+#include <numeric>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -45,6 +48,49 @@ TEST(SampleDistinctIndicesTest, DeterministicInSeed) {
             SampleDistinctIndices(1000, 20, 5));
   EXPECT_NE(SampleDistinctIndices(1000, 20, 5),
             SampleDistinctIndices(1000, 20, 6));
+}
+
+// Reference: the dense partial Fisher–Yates — the whole universe
+// materialized, then `count` swaps — with SampleDistinctIndices' seeding
+// and draws.
+std::vector<uint64_t> DenseFisherYates(uint64_t universe, size_t count,
+                                       uint64_t seed) {
+  Xoshiro256StarStar rng(MixCombine(seed, 0x5A4D9E1EB00Cull));
+  std::vector<uint64_t> pool(universe);
+  std::iota(pool.begin(), pool.end(), uint64_t{0});
+  std::vector<uint64_t> out;
+  for (size_t i = 0; i < count; ++i) {
+    const uint64_t j = i + rng.NextBounded(universe - i);
+    std::swap(pool[i], pool[j]);
+    out.push_back(pool[i]);
+  }
+  return out;
+}
+
+TEST(SampleDistinctIndicesTest, SparseShuffleMatchesDenseReference) {
+  // Every universe the shuffle branch serves, with count·4 below and at or
+  // above the universe (the branch condition's two sides).
+  const std::pair<uint64_t, std::vector<size_t>> cases[] = {
+      {1, {0, 1}},
+      {24, {1, 5, 6, 24}},
+      {uint64_t{1} << 12, {1, 100, 1023, 1024, 4096}},
+      {uint64_t{1} << 22, {24, 1000, size_t{1} << 20}},
+  };
+  for (const auto& [universe, counts] : cases) {
+    for (uint64_t seed : {1u, 7u, 99u}) {
+      // A shorter draw is a prefix of a longer one (same random stream), so
+      // one dense run per (universe, seed) serves every count.
+      const std::vector<uint64_t> dense =
+          DenseFisherYates(universe, counts.back(), seed);
+      for (size_t count : counts) {
+        const std::vector<uint64_t> expected(dense.begin(),
+                                             dense.begin() + count);
+        EXPECT_EQ(SampleDistinctIndices(universe, count, seed), expected)
+            << "universe " << universe << " count " << count << " seed "
+            << seed;
+      }
+    }
+  }
 }
 
 TEST(TruncatedUnitNormalTest, RangeAndShape) {

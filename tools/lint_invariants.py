@@ -27,10 +27,11 @@ point-wise but a static scan can prove tree-wide:
                  FamilyOptions harnesses) — a wire decoder that is not
                  fuzzed is an untrusted-input surface nobody is probing.
   docs-freshness Every ipsketch_* metric registered in src/ appears in
-                 docs/OPERATIONS.md (the operator runbook) and every
-                 SketchTypeTag enumerator appears in docs/WIRE_FORMAT.md
-                 (the normative wire spec) — the docs/ tree cannot silently
-                 rot behind the code.
+                 docs/OPERATIONS.md (the operator runbook), every metric
+                 the runbook names in full is registered in src/, and
+                 every SketchTypeTag enumerator appears in
+                 docs/WIRE_FORMAT.md (the normative wire spec) — the docs/
+                 tree cannot silently rot behind the code.
 
 Exit status 0 iff the tree is clean; findings go to stdout, one per line,
 as `rule: file: message`.
@@ -192,6 +193,10 @@ def check_families(root: Path):
 METRIC_CALL = re.compile(
     r"Get(?:Counter|Gauge|Histogram)\(\s*\"((?:[^\"\\]|\\.)*)\"")
 METRIC_NAME = re.compile(r"^ipsketch_[a-z0-9]+(?:_[a-z0-9]+)*$")
+# A fully named metric in backticks, optionally with a label block
+# (`ipsketch_x{shard="i"}`). The bare `ipsketch_` prefix does not match.
+DOCUMENTED_METRIC = re.compile(
+    r"`(ipsketch_[a-z0-9]+(?:_[a-z0-9]+)*)(?:\{[^`]*\})?`")
 
 
 def check_metrics(root: Path):
@@ -294,11 +299,13 @@ def check_docs_freshness(root: Path):
     # documented fully prefixed (unlike README's inventory, which strips
     # the ipsketch_ prefix).
     ops = read(root, OPERATIONS_MD)
+    registered = set()
     reported = set()
     for path in sorted((root / "src").rglob("*.cc")):
         rel = path.relative_to(root).as_posix()
         for match in METRIC_CALL.finditer(path.read_text(encoding="utf-8")):
             base = match.group(1).split("{")[0]
+            registered.add(base)
             # Malformed names are the metrics rule's finding, not ours.
             if not METRIC_NAME.match(base) or base in reported:
                 continue
@@ -308,6 +315,18 @@ def check_docs_freshness(root: Path):
                     f"docs-freshness: {rel}: metric '{base}' is not "
                     f"documented in {OPERATIONS_MD} — operators cannot "
                     "alert on a metric they cannot look up")
+
+    # The reverse direction: a documented metric nothing registers any more
+    # sends operators alerting on a series that no longer exists.
+    stale = set()
+    for match in DOCUMENTED_METRIC.finditer(ops):
+        name = match.group(1)
+        if name in registered or name in stale:
+            continue
+        stale.add(name)
+        findings.append(
+            f"docs-freshness: {OPERATIONS_MD}: documented metric '{name}' "
+            "is registered nowhere in src/ — drop the stale row")
 
     # Every wire tag enumerator is specified in the wire-format doc.
     header = read(root, SERIALIZE_H)
@@ -408,6 +427,13 @@ def seed_docs_metric(root: Path):
     path.write_text(seeded, encoding="utf-8")
 
 
+def seed_docs_stale_metric(root: Path):
+    # A runbook row for a metric no registration defines.
+    path = root / OPERATIONS_MD
+    with path.open("a", encoding="utf-8") as f:
+        f.write("\n| `ipsketch_phantom_stale_ns` | histogram | seeded |\n")
+
+
 def seed_docs_wire_tag(root: Path):
     # A new wire tag the wire-format doc has never heard of.
     path = root / SERIALIZE_H
@@ -428,6 +454,7 @@ SEEDS = {
     "fuzz-coverage": [("emptied seed corpus", seed_fuzz_coverage)],
     "docs-freshness": [
         ("undocumented metric", seed_docs_metric),
+        ("stale documented metric", seed_docs_stale_metric),
         ("undocumented wire tag", seed_docs_wire_tag),
     ],
 }
